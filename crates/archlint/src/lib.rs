@@ -9,7 +9,8 @@
 //!   `simprobe`, `telemetry`) must stay free of wall-clock time, real
 //!   sockets, threads, and libc. Time and packets *enter* the machine as
 //!   values; drivers own the syscalls. Driver files are exempted by the
-//!   policy, one line each, with a reason.
+//!   policy, one line each, with a reason; a sans-IO core living in an
+//!   I/O crate (the receiver's session core) is listed file by file.
 //! * **AL002 `trace-mint`** — [`TraceEvent`] values are *minted* only by
 //!   the session machine (`slops::machine`). Everything else relays or
 //!   matches them. A driver inventing trace events would forge the very
@@ -64,7 +65,7 @@ use std::path::{Path, PathBuf};
 pub enum Rule {
     /// AL000: a malformed `// archlint: allow(...)` comment.
     Suppression,
-    /// AL001: wall-clock/socket/thread/libc use in a sans-IO crate.
+    /// AL001: wall-clock/socket/thread/libc use in a sans-IO crate or module.
     SansIo,
     /// AL002: `TraceEvent` constructed outside the minting module.
     TraceMint,
@@ -169,6 +170,8 @@ pub struct Policy {
     pub crates: Vec<String>,
     /// Crates whose non-exempt files must be sans-IO (AL001).
     pub sans_io_crates: Vec<String>,
+    /// Single sans-IO core files inside otherwise I/O crates (AL001).
+    pub sans_io_modules: Vec<String>,
     /// Files inside sans-IO crates that are drivers/endpoints (exempt).
     pub sans_io_exempt: Vec<String>,
     /// Files allowed to construct `TraceEvent` values (AL002).
@@ -218,6 +221,7 @@ impl Policy {
                 }
                 "sans-io" => match rest.split_once(char::is_whitespace) {
                     Some(("crate", dir)) => p.sans_io_crates.push(dir.trim().to_string()),
+                    Some(("module", file)) => p.sans_io_modules.push(file.trim().to_string()),
                     Some(("exempt", spec)) => {
                         let (path, _reason) = split_reason(spec).ok_or_else(|| {
                             err("`sans-io exempt` needs `<file> -- <reason>`".into())
@@ -226,7 +230,8 @@ impl Policy {
                     }
                     _ => {
                         return Err(err(
-                            "`sans-io` takes `crate <dir>` or `exempt <file> -- <reason>`".into(),
+                            "`sans-io` takes `crate <dir>`, `module <file>`, or `exempt <file> -- <reason>`"
+                                .into(),
                         ))
                     }
                 },
@@ -552,7 +557,8 @@ fn is_cfg_gate_line(code: &str) -> bool {
 /// This is the pure core: the fixture tests drive it directly with
 /// in-memory sources.
 pub fn check_file(policy: &Policy, rel_path: &str, source: &str, mod_gated: bool) -> Vec<Finding> {
-    let sans_io = Policy::in_crate(rel_path, &policy.sans_io_crates)
+    let sans_io = (Policy::in_crate(rel_path, &policy.sans_io_crates)
+        || Policy::listed(rel_path, &policy.sans_io_modules))
         && !Policy::listed(rel_path, &policy.sans_io_exempt);
     let can_mint = Policy::listed(rel_path, &policy.trace_mint);
     let ffi_ok = Policy::listed(rel_path, &policy.unsafe_ffi);
@@ -603,7 +609,7 @@ pub fn check_file(policy: &Policy, rel_path: &str, source: &str, mod_gated: bool
                 if has_token(code, tok) {
                     push(
                         Rule::SansIo,
-                        format!("`{tok}` in a sans-IO crate: real time/sockets/threads belong to drivers (policy: `sans-io exempt` for driver files)"),
+                        format!("`{tok}` in sans-IO code: real time/sockets/threads belong to drivers (policy: `sans-io exempt` for driver files)"),
                     );
                 }
             }

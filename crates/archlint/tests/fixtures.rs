@@ -63,6 +63,33 @@ use std::thread;
     assert!(findings_for("fix/src/pure.rs", src).is_empty());
 }
 
+#[test]
+fn sans_io_module_covers_one_file_of_an_io_crate() {
+    let policy = Policy::parse(
+        "\
+crate net
+sans-io module net/src/core.rs
+",
+    )
+    .expect("module policy parses");
+    let line = "use std::net::UdpSocket;";
+    let rules = |path| -> Vec<Rule> {
+        check_file(&policy, path, line, false)
+            .into_iter()
+            .map(|f| f.rule)
+            .collect()
+    };
+    assert_eq!(rules("net/src/core.rs"), vec![Rule::SansIo]);
+    assert!(
+        rules("net/src/driver.rs").is_empty(),
+        "only the listed file"
+    );
+    assert!(
+        Policy::parse("sans-io module\n").is_err(),
+        "a module line needs a file"
+    );
+}
+
 // --- AL002 trace-mint ------------------------------------------------------
 
 #[test]

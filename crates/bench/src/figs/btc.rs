@@ -78,7 +78,8 @@ pub fn build_btc_world(
         &SourceConfig::paper_pareto(),
     );
 
-    // Background TCP, two populations (see DESIGN.md):
+    // Background TCP, two populations (this reproduction's stand-in for
+    // the competing traffic on the paper's §VII paths):
     //
     // (a) A queue of finite transfers (Poisson arrivals, Pareto sizes,
     //     ~3 Mb/s offered): elastic but work-conserving — they slow down

@@ -2,8 +2,8 @@
 //!
 //! One module (and one binary) per figure of the paper's evaluation.
 //! Each figure function takes a [`RunOpts`] and returns the formatted
-//! report it also prints, so the quick-mode `cargo bench` target, the
-//! full-mode binaries, and EXPERIMENTS.md all share one code path.
+//! report it also prints, so the quick-mode `cargo bench` target and the
+//! full-mode binaries share one code path.
 //!
 //! Run a single figure at full fidelity:
 //!

@@ -57,9 +57,11 @@ use monitord::{
     run_socket_fleet_with_telemetry, DaemonConfig, FleetEvent, FleetTelemetry, ShutdownFlag,
     SocketPathSpec,
 };
-#[cfg(unix)]
+// The evented receiver's poller is epoll: Linux only (the same gate as
+// `pathload_net::mux`). Other hosts use the portable threaded receiver.
+#[cfg(target_os = "linux")]
 use pathload_net::EventedReceiver;
-#[cfg(not(unix))]
+#[cfg(not(target_os = "linux"))]
 use pathload_net::Receiver;
 use std::fs;
 use std::io::{self, Write};
@@ -294,7 +296,7 @@ fn run_loopback(
     cfg.probe.max_fleets = 6;
 
     // ONE shared receiver for the whole fleet: every path connects to the
-    // same control address and becomes its own session. On Unix the far
+    // same control address and becomes its own session. On Linux the far
     // end is the evented receiver — the whole fleet's sessions on one
     // event-loop thread with the `recvmmsg`-batched datapath — stopped
     // once the fleet is done; elsewhere the threaded receiver serves one
@@ -303,7 +305,7 @@ fn run_loopback(
     // so a `--metrics` scrape of the loopback run also exposes the
     // demux/drop counters (and, evented, the `receiver_sessions` gauge).
     let telemetry = FleetTelemetry::new();
-    #[cfg(unix)]
+    #[cfg(target_os = "linux")]
     let (ctrl_addr, server) = {
         let rx = EventedReceiver::bind("127.0.0.1:0".parse().unwrap())
             .map_err(|e| format!("cannot bind the loopback receiver: {e}"))?;
@@ -311,7 +313,7 @@ fn run_loopback(
         let handle = rx.spawn();
         (handle.ctrl_addr(), handle)
     };
-    #[cfg(not(unix))]
+    #[cfg(not(target_os = "linux"))]
     let (ctrl_addr, server) = {
         let rx = Receiver::bind("127.0.0.1:0".parse().unwrap())
             .map_err(|e| format!("cannot bind the loopback receiver: {e}"))?;
@@ -343,9 +345,9 @@ fn run_loopback(
         metrics_flag.as_deref(),
         stop,
     )?;
-    #[cfg(unix)]
+    #[cfg(target_os = "linux")]
     server.stop().map_err(|e| format!("receiver failed: {e}"))?;
-    #[cfg(not(unix))]
+    #[cfg(not(target_os = "linux"))]
     server
         .join()
         .map_err(|_| "receiver thread panicked".to_string())?

@@ -2,7 +2,7 @@
 //!
 //! The workspace deliberately does not use the `rand` crate in library code:
 //! experiment reproducibility must not depend on the version of an external
-//! RNG (see DESIGN.md §5). This is xoshiro256** (Blackman & Vigna), seeded
+//! RNG. This is xoshiro256** (Blackman & Vigna), seeded
 //! through SplitMix64 — the standard, well-tested combination — plus the
 //! handful of distribution samplers the traffic models need.
 

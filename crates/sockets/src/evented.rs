@@ -36,11 +36,13 @@
 #![deny(clippy::unwrap_used, clippy::expect_used)]
 
 use crate::mux::{EventLoop, Interest, MuxEvent};
-use crate::proto::{CtrlMsg, ProbeKind, ProbePacket, PROBE_HEADER_LEN};
+use crate::proto::{
+    fill_nonblocking, flush_nonblocking, CtrlMsg, ProbeKind, ProbePacket, PROBE_HEADER_LEN,
+};
 use crate::sender::{ctrl_error_text, stream_record, SocketTransport};
 use slops::machine::{Command, Event, SessionMachine};
 use slops::{Estimate, ProbeTransport, SlopsConfig, SlopsError, StreamRequest, TransportError};
-use std::io::{self, Read, Write};
+use std::io;
 use std::os::fd::AsRawFd;
 use std::sync::Arc;
 use telemetry::{Histogram, TraceSink};
@@ -410,64 +412,26 @@ impl EventedSession {
     }
 
     fn flush_ctrl(&mut self, lp: &EventLoop) -> Result<(), TransportError> {
-        while !self.wbuf.is_empty() {
-            match self.transport.ctrl().write(&self.wbuf) {
-                Ok(0) => {
-                    return Err(TransportError::Io(ctrl_error_text(&io::Error::new(
-                        io::ErrorKind::BrokenPipe,
-                        "write returned 0",
-                    ))))
-                }
-                Ok(n) => {
-                    self.wbuf.drain(..n);
-                }
-                Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
-                Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
-                Err(e) => return Err(TransportError::Io(ctrl_error_text(&e))),
-            }
-        }
+        flush_nonblocking(&mut self.transport.ctrl(), &mut self.wbuf)
+            .map_err(|e| TransportError::Io(ctrl_error_text(&e)))?;
         self.update_ctrl_interest(lp)
     }
 
     fn fill_rbuf(&mut self) -> Result<(), TransportError> {
-        let mut chunk = [0u8; 16 * 1024];
-        loop {
-            match self.transport.ctrl().read(&mut chunk) {
-                Ok(0) => {
-                    return Err(TransportError::Io(ctrl_error_text(&io::Error::new(
-                        io::ErrorKind::UnexpectedEof,
-                        "EOF on the control channel",
-                    ))))
-                }
-                // `read` contracts n <= chunk.len(); `get` keeps the
-                // defensive bound out of the panic path.
-                Ok(n) => {
-                    if let Some(read) = chunk.get(..n) {
-                        self.rbuf.extend_from_slice(read);
-                    }
-                }
-                Err(e) if e.kind() == io::ErrorKind::WouldBlock => return Ok(()),
-                Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
-                Err(e) => return Err(TransportError::Io(ctrl_error_text(&e))),
-            }
+        match fill_nonblocking(&mut self.transport.ctrl(), &mut self.rbuf) {
+            Ok(true) => Ok(()),
+            Ok(false) => Err(io::Error::new(
+                io::ErrorKind::UnexpectedEof,
+                "EOF on the control channel",
+            )),
+            Err(e) => Err(e),
         }
+        .map_err(|e| TransportError::Io(ctrl_error_text(&e)))
     }
 
     /// Pop one complete control frame off the inbound buffer, if present.
     fn take_frame(&mut self) -> Result<Option<CtrlMsg>, TransportError> {
-        let Some(&header) = self.rbuf.first_chunk::<4>() else {
-            return Ok(None); // length prefix not complete yet
-        };
-        let len = u32::from_le_bytes(header) as usize;
-        if len == 0 || len > 16 * 1024 * 1024 {
-            return Err(TransportError::Io("bad control frame length".into()));
-        }
-        let Some(mut frame) = self.rbuf.get(..4 + len) else {
-            return Ok(None); // body not complete yet
-        };
-        let msg = CtrlMsg::read_from(&mut frame).map_err(|e| TransportError::Io(e.to_string()))?;
-        self.rbuf.drain(..4 + len);
-        Ok(Some(msg))
+        CtrlMsg::take_from(&mut self.rbuf).map_err(|e| TransportError::Io(e.to_string()))
     }
 
     fn protocol_error(&self, got: &CtrlMsg) -> TransportError {

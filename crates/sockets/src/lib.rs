@@ -37,15 +37,20 @@
 //!   batching (one syscall, many datagrams) behind scalar fallbacks, and
 //!   a `SO_REUSEADDR` listener bind so a restarted receiver reclaims its
 //!   port through `TIME_WAIT`.
-//! * [`receiver`] — the threaded `pathload_rcv` side: accepts concurrent
-//!   sender sessions (a thread per session plus a demux thread), demuxes
-//!   the shared probe socket by session token, collects (de-duplicating,
-//!   loss-tolerant), timestamps arrivals, ships records back.
-//! * [`receiver_evented`] — [`EventedReceiver`], the same receiver
-//!   contract hosted on one [`mux::EventLoop`] thread: non-blocking
-//!   accept, per-session control state machines, batched probe reads,
-//!   silence windows as timer entries. Thousands of sessions, one
-//!   thread.
+//! * `rx` (crate-private) — `RxSession`, the receiver's sans-IO session
+//!   core and the receiver-side counterpart of `slops::SessionMachine`:
+//!   control frames in with a timestamp, replies out; probe packets in
+//!   with their arrival stamp, the report out once the collection ends
+//!   (per-index dedup, silence and deadline stops); the next check
+//!   deadline out as a value. Both receivers below are drivers of it.
+//! * [`receiver`] — the threaded `pathload_rcv` side: a thread per
+//!   session pumping its core, plus a demux thread that timestamps the
+//!   shared probe socket's datagrams and routes them by session token.
+//!   Portable.
+//! * [`receiver_evented`] — [`EventedReceiver`]: every session's core on
+//!   one [`mux::EventLoop`] thread, with non-blocking accept, batched
+//!   probe reads, and check deadlines as timer entries. Thousands of
+//!   sessions, one thread; Linux only.
 //! * [`sender`] — the `pathload_snd` side: [`SocketTransport`].
 //! * [`driver`] — [`SocketDriver`], the explicit command/event pump of the
 //!   sans-IO `slops::SessionMachine` over this transport (the reference
@@ -79,6 +84,7 @@ pub mod proto;
 pub mod receiver;
 #[cfg(unix)]
 pub mod receiver_evented;
+mod rx;
 pub mod sender;
 
 pub use batch::UdpRecvBatch;

@@ -4,8 +4,8 @@
 //! sleeping for relative intervals accumulates drift and context-switch
 //! error. We sleep coarsely until shortly before the deadline and spin for
 //! the remainder — the standard technique for µs-accurate userspace pacing
-//! (and the reason this crate runs on dedicated threads, not an async
-//! runtime; see DESIGN.md §5).
+//! (and the reason this crate paces on its own threads or readiness loop,
+//! not on an async runtime's timers).
 
 use crate::clock::MonoClock;
 use std::time::Duration;

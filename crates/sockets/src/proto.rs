@@ -181,6 +181,50 @@ pub enum CtrlMsg {
 /// capacity; retry later or point the path at another receiver.
 pub const DENY_AT_CAPACITY: u8 = 1;
 
+/// Write as much of `wbuf` as a non-blocking writer accepts, draining
+/// what went out. `Ok` with bytes left means back-pressure: wait for
+/// writability.
+pub(crate) fn flush_nonblocking<W: Write>(w: &mut W, wbuf: &mut Vec<u8>) -> io::Result<()> {
+    while !wbuf.is_empty() {
+        match w.write(wbuf) {
+            Ok(0) => {
+                return Err(io::Error::new(
+                    io::ErrorKind::BrokenPipe,
+                    "write returned 0",
+                ))
+            }
+            Ok(n) => {
+                wbuf.drain(..n);
+            }
+            Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
+            Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
+            Err(e) => return Err(e),
+        }
+    }
+    Ok(())
+}
+
+/// Append whatever a non-blocking reader has ready to `rbuf`.
+/// `Ok(false)` on a clean EOF.
+pub(crate) fn fill_nonblocking<R: Read>(r: &mut R, rbuf: &mut Vec<u8>) -> io::Result<bool> {
+    let mut chunk = [0u8; 16 * 1024];
+    loop {
+        match r.read(&mut chunk) {
+            Ok(0) => return Ok(false),
+            Ok(n) => {
+                // `read` contracts n <= chunk.len(); `get` keeps the
+                // defensive bound out of the panic path.
+                if let Some(read) = chunk.get(..n) {
+                    rbuf.extend_from_slice(read);
+                }
+            }
+            Err(e) if e.kind() == io::ErrorKind::WouldBlock => return Ok(true),
+            Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
+            Err(e) => return Err(e),
+        }
+    }
+}
+
 impl CtrlMsg {
     fn tag(&self) -> u8 {
         match self {
@@ -205,6 +249,29 @@ impl CtrlMsg {
     pub fn append_to(&self, out: &mut Vec<u8>) {
         // Vec<u8> as io::Write cannot fail; discard the impossible Err.
         let _ = self.write_to(out);
+    }
+
+    /// Pop one complete length-prefixed frame off the front of `rbuf`,
+    /// if the whole frame is there yet: the read side of the evented
+    /// shapes, whose read buffers collect whatever a non-blocking socket
+    /// had ready (see [`fill_nonblocking`]).
+    pub(crate) fn take_from(rbuf: &mut Vec<u8>) -> io::Result<Option<CtrlMsg>> {
+        let Some(&header) = rbuf.first_chunk::<4>() else {
+            return Ok(None); // length prefix not complete yet
+        };
+        let len = u32::from_le_bytes(header) as usize;
+        if len == 0 || len > 16 * 1024 * 1024 {
+            return Err(io::Error::new(
+                io::ErrorKind::InvalidData,
+                "bad control frame length",
+            ));
+        }
+        let Some(mut frame) = rbuf.get(..4 + len) else {
+            return Ok(None); // body not complete yet
+        };
+        let msg = CtrlMsg::read_from(&mut frame)?;
+        rbuf.drain(..4 + len);
+        Ok(Some(msg))
     }
 
     /// Write the message as one length-prefixed frame.

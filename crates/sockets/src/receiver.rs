@@ -1,37 +1,32 @@
-//! The receiver side (`pathload_rcv`): timestamps probe arrivals and ships
-//! records back over the control channel — for **many concurrent senders**
-//! on one control port and one shared UDP socket.
+//! The threaded receiver (`pathload_rcv`): one of the two drivers of the
+//! sans-IO session core in `rx`, serving **many concurrent senders** on
+//! one control port and one shared UDP socket.
 //!
-//! Session multiplexing works like this:
-//!
-//! * every accepted control connection becomes a *session*: the receiver
-//!   mints a session token, registers a collector channel under it, and
-//!   advertises the token (plus the shared UDP port) in the `Hello`;
-//! * the sender stamps the token into every [`ProbePacket`] it emits;
+//! * every accepted control connection becomes a session on its own
+//!   thread: the receiver mints a session token, registers a collector
+//!   channel under it, and pumps the session core — a blocking control
+//!   read, then `recv_timeout` on the channel until the core hands back
+//!   the report;
 //! * one background *demux* thread owns the shared UDP socket: it
 //!   timestamps each datagram at arrival, decodes the header, and routes
-//!   the packet to the owning session's collector by token. Datagrams
-//!   carrying an unknown (stale, never-issued, foreign) token are dropped,
-//!   so a late packet from a finished session can never contaminate a live
-//!   collection. Tokens count up from a random 64-bit base, so an off-path
-//!   attacker cannot guess a live one; collector channels are bounded, so
-//!   a datagram flood cannot grow receiver memory;
-//! * [`Receiver::serve_forever`] accepts concurrently, one thread per
-//!   session, with bounded backoff on persistent accept errors (EMFILE &
-//!   co.) so a starved listener does not hot-loop at 100% CPU.
-//!
-//! Collection is loss- and reorder-tolerant: stream packets are
-//! de-duplicated on index (a duplicated datagram is counted once), and a
-//! stream with a lost or reordered tail stops after a short silence window
-//! once its nominal duration has passed instead of blocking for the full
-//! multi-second deadline.
+//!   the packet to the owning session's channel by token. Unknown (stale,
+//!   never-issued, foreign) tokens are dropped, so a late packet from a
+//!   finished session can never contaminate a live collection. Tokens
+//!   count up from a random 64-bit base, so an off-path attacker cannot
+//!   guess a live one; collector channels are bounded, so a datagram
+//!   flood cannot grow receiver memory;
+//! * [`Receiver::serve_forever`] accepts concurrently, with bounded
+//!   backoff on persistent accept errors (EMFILE & co.) so a starved
+//!   listener does not hot-loop at 100% CPU.
 
 // Datapath module: a panicking branch here takes the whole fleet down,
 // so `unwrap`/`expect` are denied outright (errors must travel as values).
 #![deny(clippy::unwrap_used, clippy::expect_used)]
 
 use crate::clock::MonoClock;
-use crate::proto::{CtrlMsg, ProbeKind, ProbePacket, SampleWire, DENY_AT_CAPACITY, PROTO_VERSION};
+use crate::proto::{CtrlMsg, ProbePacket, DENY_AT_CAPACITY, PROTO_VERSION};
+pub use crate::rx::MAX_ANNOUNCE_COUNT;
+use crate::rx::{Check, RecvCounters, Reply, Route, RxSession, POLL_TIMEOUT};
 use std::collections::hash_map::RandomState;
 use std::collections::HashMap;
 use std::hash::{BuildHasher, Hasher};
@@ -42,7 +37,6 @@ use std::sync::mpsc::{Receiver as ChanReceiver, RecvTimeoutError, SyncSender};
 use std::sync::{mpsc, Arc, Mutex, MutexGuard, PoisonError};
 use std::thread::{self, JoinHandle};
 use std::time::Duration;
-use telemetry::Counter;
 
 /// A probe packet as the demux thread hands it to a session's collector:
 /// decoded header plus the arrival timestamp (receiver clock, stamped at
@@ -55,103 +49,12 @@ struct Arrival {
 
 type Registry = Mutex<HashMap<u64, SyncSender<Arrival>>>;
 
-/// How long a collector waits on its channel per wakeup (also bounds how
-/// fast the demux thread notices shutdown). The evented receiver uses the
-/// same period for its collection-check timers, so both shapes notice
-/// silence windows and deadlines at the same cadence.
-pub(crate) const POLL_TIMEOUT: Duration = Duration::from_millis(50);
-
 /// Bound on a session's collector channel. Far above any stream or train
 /// the sender announces (default stream length is 100 packets), so a
 /// datagram flood cannot grow receiver memory without bound — the demux
 /// drops for that session once full (dropped probes read as loss, which
 /// collection already tolerates) and other sessions are unaffected.
 const COLLECTOR_CAPACITY: usize = 4096;
-
-/// Upper bound on the `count` a single announce may name. Collection
-/// allocates per-stream state proportional to `count` (the seen-index
-/// set, the sample vector), so without a cap one malicious
-/// `StreamAnnounce { count: u32::MAX, .. }` frame would make the receiver
-/// allocate gigabytes. Far above any real configuration (default stream
-/// length is 100 packets); an announce beyond it is a protocol error that
-/// closes the offending session — other sessions are unaffected.
-pub const MAX_ANNOUNCE_COUNT: u32 = 1 << 16;
-
-/// A stream whose nominal duration has passed is considered over after
-/// this much silence (covers a lost or reordered final packet without
-/// waiting out the full deadline).
-pub(crate) const STREAM_SILENCE_NS: u64 = 200_000_000;
-
-/// A back-to-back train is considered over after this much silence.
-pub(crate) const TRAIN_SILENCE_NS: u64 = 50_000_000;
-
-/// A session whose collections have dropped at least this many datagrams
-/// (duplicates, malformed indices) earns a stderr warning — silent loss of
-/// this magnitude usually means a broken sender or a duplicating path.
-pub(crate) const DROP_WARN_THRESHOLD: u64 = 32;
-
-/// Minimum spacing between drop warnings across all sessions, so a flood
-/// of duplicates cannot turn the log into its own flood.
-pub(crate) const DROP_WARN_INTERVAL_NS: u64 = 5_000_000_000;
-
-/// Route/drop accounting for the shared demux thread and the per-session
-/// collectors. Dropping a datagram is often *by design* here (stale
-/// tokens, duplicated datagrams, bounded collector channels); these
-/// counters make the by-design drops visible instead of silent. Handles
-/// are created at [`Receiver::bind`] time and can be attached to any
-/// [`telemetry::Registry`] later via [`Receiver::register_metrics`].
-///
-/// The evented receiver shares this struct (and [`RecvCounters::register`])
-/// so both receiver shapes expose the exact same metric families — the
-/// structural-equivalence test pins that.
-#[derive(Clone, Debug, Default)]
-pub(crate) struct RecvCounters {
-    /// Datagrams routed to a live session's collector.
-    pub(crate) routed: Counter,
-    /// Datagrams carrying a token no live session owns (stale session,
-    /// never issued, foreign).
-    pub(crate) drop_unknown_token: Counter,
-    /// Datagrams dropped because the owning session's collector channel
-    /// was full (flood protection; reads as loss to the session).
-    pub(crate) drop_collector_full: Counter,
-    /// Stream/train packets discarded by a collector: duplicated datagram
-    /// or out-of-range index.
-    pub(crate) drop_dedup: Counter,
-    /// Collections ended by the silence window instead of a complete
-    /// arrival set (the missing tail is treated as lost).
-    pub(crate) silence_stops: Counter,
-    /// Control connections refused with `Deny` at the session cap.
-    pub(crate) denied: Counter,
-}
-
-impl RecvCounters {
-    /// Register every family under its canonical name (both receiver
-    /// shapes go through here, so the families can never drift apart).
-    pub(crate) fn register(&self, reg: &telemetry::Registry) {
-        reg.register_counter("receiver_demux_routed_total", &[], self.routed.clone());
-        reg.register_counter(
-            "receiver_demux_drops_total",
-            &[("reason", "unknown_token")],
-            self.drop_unknown_token.clone(),
-        );
-        reg.register_counter(
-            "receiver_demux_drops_total",
-            &[("reason", "collector_full")],
-            self.drop_collector_full.clone(),
-        );
-        reg.register_counter(
-            "receiver_demux_drops_total",
-            &[("reason", "dedup")],
-            self.drop_dedup.clone(),
-        );
-        reg.register_counter(
-            "receiver_collect_silence_stops_total",
-            &[],
-            self.silence_stops.clone(),
-        );
-        reg.register_counter("receiver_sessions_denied_total", &[], self.denied.clone());
-    }
-}
 
 fn lock_registry(reg: &Registry) -> MutexGuard<'_, HashMap<u64, SyncSender<Arrival>>> {
     // A poisoned registry only means some session thread panicked while
@@ -172,8 +75,6 @@ struct Shared {
     /// the demux thread already shares the struct.)
     max_sessions: AtomicUsize,
     counters: RecvCounters,
-    /// Receiver-clock timestamp of the last drop warning (rate limiting).
-    last_drop_warn_ns: AtomicU64,
 }
 
 /// The pathload receiver: one TCP control listener plus one **shared** UDP
@@ -216,7 +117,6 @@ impl Receiver {
             next_token: AtomicU64::new(token_base),
             max_sessions: AtomicUsize::new(0),
             counters: RecvCounters::default(),
-            last_drop_warn_ns: AtomicU64::new(0),
         });
         let stop = Arc::new(AtomicBool::new(false));
         let demux = {
@@ -400,14 +300,14 @@ fn demux_loop(udp: &UdpSocket, shared: &Shared, stop: &AtomicBool) {
                     // Unknown token (stale session, never issued): drop.
                     // A full collector also drops (never block the demux
                     // — other sessions' packets are behind this one).
-                    if let Some(tx) = lock_registry(&shared.registry).get(&packet.session) {
-                        match tx.try_send(Arrival { packet, recv_ns }) {
-                            Ok(()) => shared.counters.routed.inc(),
-                            Err(_) => shared.counters.drop_collector_full.inc(),
-                        }
-                    } else {
-                        shared.counters.drop_unknown_token.inc();
-                    }
+                    let route = match lock_registry(&shared.registry).get(&packet.session) {
+                        Some(tx) => match tx.try_send(Arrival { packet, recv_ns }) {
+                            Ok(()) => Route::Routed,
+                            Err(_) => Route::CollectorFull,
+                        },
+                        None => Route::UnknownToken,
+                    };
+                    shared.counters.count_route(route);
                 }
             }
             Err(e)
@@ -426,11 +326,10 @@ impl Shared {
         self.next_token.fetch_add(1, Ordering::Relaxed)
     }
 
-    /// Serve one control connection to completion: mint a session, say
-    /// `Hello`, answer announces with collections, deregister on the way
-    /// out (any exit path). A receiver at its session cap refuses the
-    /// connection with a versioned `Deny` instead (see
-    /// [`Receiver::with_max_sessions`]).
+    /// Serve one control connection to completion: mint a session, pump
+    /// its core, deregister on the way out (any exit path). A receiver at
+    /// its session cap refuses the connection with a versioned `Deny`
+    /// instead (see [`Receiver::with_max_sessions`]).
     fn serve_session(&self, mut ctrl: TcpStream) -> io::Result<()> {
         ctrl.set_nodelay(true)?;
         let token = self.mint_token();
@@ -440,258 +339,79 @@ impl Shared {
             // both squeeze into the last slot.
             let mut registry = lock_registry(&self.registry);
             let max = self.max_sessions.load(Ordering::SeqCst);
-            if max != 0 && registry.len() >= max {
+            if let Some(deny) = self.counters.deny_at_cap(registry.len(), max) {
                 drop(registry);
-                self.counters.denied.inc();
-                CtrlMsg::Deny {
-                    version: PROTO_VERSION,
-                    code: DENY_AT_CAPACITY,
-                }
-                .write_to(&mut ctrl)?;
-                return Ok(());
+                return deny.write_to(&mut ctrl);
             }
             registry.insert(token, tx);
         }
-        let result = self.session_loop(&mut ctrl, token, &arrivals);
+        let result = self.pump(&mut ctrl, RxSession::new(token, &self.counters), &arrivals);
         lock_registry(&self.registry).remove(&token);
         result
     }
 
-    fn session_loop(
+    /// The session pump: `Hello`, then a blocking control read per frame;
+    /// an announce hands the session to [`Shared::collect`] until the
+    /// core produces the report.
+    fn pump(
         &self,
         ctrl: &mut TcpStream,
-        token: u64,
+        mut sess: RxSession,
         arrivals: &ChanReceiver<Arrival>,
     ) -> io::Result<()> {
-        CtrlMsg::Hello {
-            version: PROTO_VERSION,
-            udp_port: self.udp_port,
-            session: token,
-        }
-        .write_to(ctrl)?;
-        // Per-session drop tally across all of the session's collections
-        // (the total counters aggregate every session; this one names the
-        // offender in the warning).
-        let mut session_drops = 0u64;
+        sess.hello(self.udp_port).write_to(ctrl)?;
         loop {
             let msg = match CtrlMsg::read_from(ctrl) {
                 Ok(m) => m,
                 Err(e) if e.kind() == io::ErrorKind::UnexpectedEof => return Ok(()),
                 Err(e) => return Err(e),
             };
-            match msg {
-                CtrlMsg::StreamAnnounce {
-                    id,
-                    count,
-                    period_ns,
-                    size: _,
-                } => {
-                    check_count(count)?;
-                    drain(arrivals);
-                    CtrlMsg::Ready { id }.write_to(ctrl)?;
-                    let (samples, dropped) = self.collect_stream(arrivals, id, count, period_ns);
-                    session_drops += dropped;
-                    self.maybe_warn_drops(token, session_drops);
-                    CtrlMsg::StreamReport { id, samples }.write_to(ctrl)?;
-                }
-                CtrlMsg::TrainAnnounce { id, count, size: _ } => {
-                    check_count(count)?;
-                    drain(arrivals);
-                    CtrlMsg::Ready { id }.write_to(ctrl)?;
-                    let (received, first_ns, last_ns, dropped) =
-                        self.collect_train(arrivals, id, count);
-                    session_drops += dropped;
-                    self.maybe_warn_drops(token, session_drops);
-                    CtrlMsg::TrainReport {
-                        id,
-                        received,
-                        first_ns,
-                        last_ns,
+            // Whatever queued since the last collection is a leftover.
+            while arrivals.try_recv().is_ok() {}
+            match sess.on_ctrl(msg, self.clock.now_ns())? {
+                Reply::Send(reply) => reply.write_to(ctrl)?,
+                Reply::Close => return Ok(()),
+                Reply::Collect { ready, check_at } => {
+                    ready.write_to(ctrl)?;
+                    if let Some(report) = self.collect(&mut sess, arrivals, check_at) {
+                        report.write_to(ctrl)?;
                     }
-                    .write_to(ctrl)?;
-                }
-                CtrlMsg::Echo { token } => {
-                    CtrlMsg::Echo { token }.write_to(ctrl)?;
-                }
-                CtrlMsg::Bye => return Ok(()),
-                other => {
-                    return Err(io::Error::new(
-                        io::ErrorKind::InvalidData,
-                        format!("unexpected control message {other:?}"),
-                    ))
                 }
             }
         }
     }
 
-    /// Collect packets of stream `id` until all `count` **distinct**
-    /// indices arrived, or the stream has clearly ended: its nominal
-    /// duration (measured from the first arrival) has passed and a
-    /// silence window elapsed with nothing new — which covers a lost or
-    /// reordered final packet without stalling to the full deadline.
-    /// Duplicated datagrams are counted once (first arrival wins).
-    /// Returns the samples plus how many datagrams the dedup discarded.
-    fn collect_stream(
+    /// Feed arrivals and due checks to the core until it hands back the
+    /// active collection's report.
+    fn collect(
         &self,
+        sess: &mut RxSession,
         arrivals: &ChanReceiver<Arrival>,
-        id: u32,
-        count: u32,
-        period_ns: u64,
-    ) -> (Vec<SampleWire>, u64) {
-        let mut samples = Vec::with_capacity(count as usize);
-        let mut seen = vec![false; count as usize];
-        let mut dropped = 0u64;
-        let start = self.clock.now_ns();
-        // Arm-to-end budget: 2 s to start + nominal duration + 1 s grace.
-        let deadline = start + 2_000_000_000 + count as u64 * period_ns + 1_000_000_000;
-        let mut first_arrival: Option<u64> = None;
-        let mut last_activity = start;
-        while (samples.len() as u32) < count && self.clock.now_ns() < deadline {
-            match arrivals.recv_timeout(POLL_TIMEOUT) {
-                Ok(Arrival { packet: p, recv_ns }) => {
-                    if p.kind != ProbeKind::Stream || p.id != id {
-                        continue; // leftover of an earlier train/stream
-                    }
-                    last_activity = recv_ns;
-                    first_arrival.get_or_insert(recv_ns);
-                    let idx = p.idx as usize;
-                    match seen.get_mut(idx) {
-                        // In range and fresh: mark and record below.
-                        Some(mark @ false) => *mark = true,
-                        // Malformed index or duplicated datagram.
-                        _ => {
-                            dropped += 1;
-                            self.counters.drop_dedup.inc();
-                            continue;
-                        }
-                    }
-                    samples.push(SampleWire {
-                        idx: p.idx,
-                        send_ns: p.send_ns,
-                        recv_ns,
-                    });
+        mut check_at: u64,
+    ) -> Option<CtrlMsg> {
+        loop {
+            let now = self.clock.now_ns();
+            if now >= check_at {
+                match sess.on_check(now) {
+                    Check::Report(report) => return Some(report),
+                    Check::Next(at) => check_at = at,
+                    Check::Idle => return None,
                 }
-                Err(RecvTimeoutError::Timeout) => {
-                    if let Some(first) = first_arrival {
-                        let nominal_end = first + count as u64 * period_ns;
-                        let now = self.clock.now_ns();
-                        if now >= nominal_end
-                            && now.saturating_sub(last_activity) >= STREAM_SILENCE_NS
-                        {
-                            // Stream over; the missing tail is lost.
-                            self.counters.silence_stops.inc();
-                            break;
-                        }
+                continue;
+            }
+            match arrivals.recv_timeout(Duration::from_nanos(check_at - now)) {
+                Ok(Arrival { packet, recv_ns }) => {
+                    if let Some(report) = sess.on_probe(&packet, recv_ns) {
+                        return Some(report);
                     }
                 }
-                Err(RecvTimeoutError::Disconnected) => break,
+                Err(RecvTimeoutError::Timeout) => {}
+                // The registry holds the sender until this session ends,
+                // so this is unreachable; report what arrived.
+                Err(RecvTimeoutError::Disconnected) => return sess.finish(),
             }
         }
-        (samples, dropped)
     }
-
-    /// Collect a back-to-back train: distinct packets of train `id`,
-    /// de-duplicated on index, until all arrived or a silence window
-    /// passed after the first arrival. The last tuple element counts the
-    /// datagrams the dedup discarded.
-    fn collect_train(
-        &self,
-        arrivals: &ChanReceiver<Arrival>,
-        id: u32,
-        count: u32,
-    ) -> (u32, u64, u64, u64) {
-        let mut received = 0u32;
-        let mut first_ns = 0u64;
-        let mut last_ns = 0u64;
-        let mut seen = vec![false; count as usize];
-        let mut dropped = 0u64;
-        let start = self.clock.now_ns();
-        let deadline = start + 5_000_000_000;
-        let mut last_activity = start;
-        while received < count && self.clock.now_ns() < deadline {
-            match arrivals.recv_timeout(POLL_TIMEOUT) {
-                Ok(Arrival { packet: p, recv_ns }) => {
-                    if p.kind != ProbeKind::Train || p.id != id {
-                        continue;
-                    }
-                    last_activity = recv_ns;
-                    let idx = p.idx as usize;
-                    match seen.get_mut(idx) {
-                        // In range and fresh: mark and count below.
-                        Some(mark @ false) => *mark = true,
-                        // Malformed index or duplicated datagram.
-                        _ => {
-                            dropped += 1;
-                            self.counters.drop_dedup.inc();
-                            continue;
-                        }
-                    }
-                    if received == 0 {
-                        first_ns = recv_ns;
-                    }
-                    last_ns = last_ns.max(recv_ns);
-                    received += 1;
-                }
-                Err(RecvTimeoutError::Timeout) => {
-                    // Back-to-back train: a silence window after the first
-                    // arrival means it ended (possibly with losses).
-                    if received > 0
-                        && self.clock.now_ns().saturating_sub(last_activity) >= TRAIN_SILENCE_NS
-                    {
-                        self.counters.silence_stops.inc();
-                        break;
-                    }
-                }
-                Err(RecvTimeoutError::Disconnected) => break,
-            }
-        }
-        (received, first_ns, last_ns, dropped)
-    }
-
-    /// Warn (rate-limited) once a session's collections have discarded a
-    /// suspicious number of datagrams. The threshold keeps the occasional
-    /// duplicated datagram quiet; the interval keeps a duplicate *flood*
-    /// from flooding stderr too.
-    fn maybe_warn_drops(&self, token: u64, session_drops: u64) {
-        if session_drops < DROP_WARN_THRESHOLD {
-            return;
-        }
-        let now = self.clock.now_ns();
-        let last = self.last_drop_warn_ns.load(Ordering::Relaxed);
-        if now.saturating_sub(last) < DROP_WARN_INTERVAL_NS {
-            return;
-        }
-        if self
-            .last_drop_warn_ns
-            .compare_exchange(last, now, Ordering::Relaxed, Ordering::Relaxed)
-            .is_ok()
-        {
-            eprintln!(
-                "receiver: session {token:#018x} dropped {session_drops} \
-                 duplicate/malformed probe datagrams ({} across all sessions)",
-                self.counters.drop_dedup.get()
-            );
-        }
-    }
-}
-
-/// Discard any arrivals buffered from this session's previous streams.
-fn drain(arrivals: &ChanReceiver<Arrival>) {
-    while arrivals.try_recv().is_ok() {}
-}
-
-/// Bound per-session collection memory: refuse an announce whose `count`
-/// would make the receiver allocate absurd per-stream state (see
-/// [`MAX_ANNOUNCE_COUNT`]). The offending session is closed with a
-/// protocol error; other sessions are unaffected.
-pub(crate) fn check_count(count: u32) -> io::Result<()> {
-    if count > MAX_ANNOUNCE_COUNT {
-        return Err(io::Error::new(
-            io::ErrorKind::InvalidData,
-            format!("announced count {count} exceeds the {MAX_ANNOUNCE_COUNT} cap"),
-        ));
-    }
-    Ok(())
 }
 
 /// Connect a control channel to a receiver and perform the hello
@@ -817,7 +537,7 @@ mod tests {
     /// counted*: the by-design drop is visible in the registry.
     #[test]
     fn unknown_token_datagrams_are_counted_as_drops() {
-        use crate::proto::PROBE_HEADER_LEN;
+        use crate::proto::{ProbeKind, PROBE_HEADER_LEN};
 
         let rx = Receiver::bind("127.0.0.1:0".parse().unwrap()).unwrap();
         let reg = telemetry::Registry::new();
@@ -847,26 +567,29 @@ mod tests {
         server.join().unwrap().unwrap();
     }
 
-    /// An announce whose count would allocate absurd per-stream state is
-    /// refused (the session closes with a protocol error).
+    /// An announce whose count would allocate absurd per-stream state, or
+    /// whose duration overflows the receiver clock, is refused (the
+    /// session closes with a protocol error).
     #[test]
     fn oversized_announce_is_rejected() {
-        let rx = Receiver::bind("127.0.0.1:0".parse().unwrap()).unwrap();
-        let addr = rx.ctrl_addr();
-        let server = thread::spawn(move || rx.serve_one());
-        let (mut ctrl, _port, _session) = connect_ctrl(addr).unwrap();
-        CtrlMsg::StreamAnnounce {
-            id: 1,
-            count: u32::MAX,
-            period_ns: 1_000_000,
-            size: 64,
+        for (count, period_ns) in [(u32::MAX, 1_000_000), (2, u64::MAX)] {
+            let rx = Receiver::bind("127.0.0.1:0".parse().unwrap()).unwrap();
+            let addr = rx.ctrl_addr();
+            let server = thread::spawn(move || rx.serve_one());
+            let (mut ctrl, _port, _session) = connect_ctrl(addr).unwrap();
+            CtrlMsg::StreamAnnounce {
+                id: 1,
+                count,
+                period_ns,
+                size: 64,
+            }
+            .write_to(&mut ctrl)
+            .unwrap();
+            let err = server
+                .join()
+                .unwrap()
+                .expect_err("announce must be refused");
+            assert!(err.to_string().contains("cap"), "{err}");
         }
-        .write_to(&mut ctrl)
-        .unwrap();
-        let err = server
-            .join()
-            .unwrap()
-            .expect_err("announce must be refused");
-        assert!(err.to_string().contains("cap"), "{err}");
     }
 }

@@ -1,38 +1,32 @@
 //! The evented receiver: one thread, thousands of concurrent sessions.
 //!
-//! [`EventedReceiver`] is to [`Receiver`](crate::Receiver) what
-//! [`EventedSession`](crate::EventedSession) is to the blocking sender
-//! driver: the same wire behavior — `Hello` with a minted token,
-//! announce/`Ready`/collect/report, `Echo`, `Bye`, a versioned `Deny` at
-//! the session cap — but hosted on one [`mux::EventLoop`](crate::mux::EventLoop) instead of a
-//! thread per session plus a demux thread. Concretely:
+//! [`EventedReceiver`] is the second driver of the sans-IO session core
+//! in `rx` (the threaded [`Receiver`](crate::Receiver) is the first), so
+//! the two are the same receiver on the wire. It hosts every session on
+//! one [`mux::EventLoop`](crate::mux::EventLoop) instead of a thread per
+//! session plus a demux thread:
 //!
 //! * the control listener accepts non-blocking; each accepted connection
-//!   becomes a slot in a session slab with its own buffered, non-blocking
-//!   control state machine (the `rbuf`/`wbuf` framing idiom of
+//!   becomes a slot in a session slab: its session core plus buffered,
+//!   non-blocking control I/O (the `rbuf`/`wbuf` framing idiom of
 //!   [`EventedSession`](crate::EventedSession));
 //! * the shared UDP probe socket is folded into the same loop: datagrams
-//!   are drained in `recvmmsg` batches ([`batch::UdpRecvBatch`]), the
-//!   arrival timestamp is stamped **once per batch at the socket read** —
-//!   before any per-packet work, preserving the threaded demux's
-//!   timestamp-at-read contract — and each packet is routed to its
-//!   session by token;
-//! * silence-window and deadline stops are timer entries: an active
-//!   collection re-arms a check timer every `POLL_TIMEOUT` (the cadence
-//!   the threaded collectors poll at) and the stop conditions are
-//!   evaluated against the same constants, so both receiver shapes end
-//!   collections identically. The timers are armed under the session
-//!   token as a [`TimerQueue`](crate::mux::TimerQueue) *generation* and
-//!   cancelled eagerly when the collection (or session) ends.
+//!   are drained in `recvmmsg` batches ([`batch::UdpRecvBatch`]), stamped
+//!   **once per batch** right after the syscall returns (so only a
+//!   batch's first datagram carries its own arrival time; later ones
+//!   read late by their wait in the kernel queue), and fed to the owning
+//!   session's core by token;
+//! * each check deadline the core hands back is a timer entry, armed
+//!   under the session token as a [`TimerQueue`](crate::mux::TimerQueue)
+//!   *generation* and cancelled eagerly when the collection (or session)
+//!   ends.
 //!
-//! Route/drop accounting shares `receiver::RecvCounters`, so both shapes
-//! expose the exact same metric families; the evented receiver adds a
+//! Besides the core's shared metric families it exposes a
 //! `receiver_sessions` gauge (live sessions) and a
 //! `receiver_recv_batch_size` histogram (datagrams per kernel crossing).
-//! `collector_full` can never fire here — arrivals are routed straight
-//! into collection state, there is no bounded channel — but the family
-//! is still registered, so dashboards and the structural-equivalence
-//! test see an identical metric surface.
+//! `collector_full` never fires here — there is no channel to fill — but
+//! the family is still registered, so both receivers show an identical
+//! metric surface.
 
 // Datapath module: a panicking branch here takes the whole fleet down,
 // so `unwrap`/`expect` are denied outright (errors must travel as values).
@@ -41,15 +35,13 @@
 use crate::batch::{self, UdpRecvBatch};
 use crate::clock::MonoClock;
 use crate::mux::{EventLoop, Interest, MuxEvent};
-use crate::proto::{CtrlMsg, ProbeKind, ProbePacket, SampleWire, DENY_AT_CAPACITY, PROTO_VERSION};
-use crate::receiver::{
-    check_count, AcceptBackoff, RecvCounters, DROP_WARN_INTERVAL_NS, DROP_WARN_THRESHOLD,
-    POLL_TIMEOUT, STREAM_SILENCE_NS, TRAIN_SILENCE_NS,
-};
+use crate::proto::{fill_nonblocking, flush_nonblocking, CtrlMsg, ProbePacket};
+use crate::receiver::AcceptBackoff;
+use crate::rx::{Check, RecvCounters, Reply, Route, RxSession, POLL_TIMEOUT};
 use std::collections::hash_map::RandomState;
 use std::collections::HashMap;
 use std::hash::{BuildHasher, Hasher};
-use std::io::{self, Read, Write};
+use std::io::{self, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream, UdpSocket};
 use std::os::fd::AsRawFd;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -76,59 +68,14 @@ const MAX_BATCHES_PER_WAKEUP: usize = 64;
 /// threaded demux's stack buffer).
 const RECV_BUF_LEN: usize = 2048;
 
-/// An in-progress stream collection (the evented analogue of the threaded
-/// `collect_stream` local state).
+/// One live session slot: its session core plus the non-blocking control
+/// connection and its frame buffers.
 #[derive(Debug)]
-struct StreamCollect {
-    id: u32,
-    count: u32,
-    period_ns: u64,
-    samples: Vec<SampleWire>,
-    seen: Vec<bool>,
-    /// Hard deadline: `start + 2 s + count·period + 1 s` (same budget as
-    /// the threaded collector).
-    deadline: u64,
-    first_arrival: Option<u64>,
-    last_activity: u64,
-}
-
-/// An in-progress train collection.
-#[derive(Debug)]
-struct TrainCollect {
-    id: u32,
-    count: u32,
-    received: u32,
-    first_ns: u64,
-    last_ns: u64,
-    seen: Vec<bool>,
-    /// Hard deadline: `start + 5 s`.
-    deadline: u64,
-    last_activity: u64,
-}
-
-/// What a session's probe arrivals currently feed.
-#[derive(Debug)]
-enum Collect {
-    /// Between collections: routed arrivals are discarded (the threaded
-    /// shape queues then drains them before the next `Ready`).
-    Idle,
-    Stream(StreamCollect),
-    Train(TrainCollect),
-}
-
-/// One live session slot: a non-blocking control connection plus its
-/// collection state.
-#[derive(Debug)]
-struct RxSession {
+struct Slot {
     ctrl: TcpStream,
-    token: u64,
     rbuf: Vec<u8>,
     wbuf: Vec<u8>,
-    collect: Collect,
-    /// Drop tally across the session's collections (duplicates, malformed
-    /// indices) — feeds the same rate-limited warning as the threaded
-    /// shape.
-    drops: u64,
+    core: RxSession,
 }
 
 /// The evented pathload receiver: one TCP control listener, one shared
@@ -145,7 +92,7 @@ pub struct EventedReceiver {
     clock: MonoClock,
     lp: EventLoop,
     batch: UdpRecvBatch,
-    sessions: Vec<Option<RxSession>>,
+    sessions: Vec<Option<Slot>>,
     free: Vec<usize>,
     by_token: HashMap<u64, usize>,
     next_token: u64,
@@ -157,7 +104,6 @@ pub struct EventedReceiver {
     sessions_gauge: Gauge,
     /// Datagrams per kernel crossing of the probe socket.
     batch_hist: Histogram,
-    last_drop_warn_ns: u64,
     backoff: AcceptBackoff,
     accept_paused: bool,
     events: Vec<MuxEvent>,
@@ -183,7 +129,7 @@ impl EventedReceiver {
         let lp = EventLoop::new(clock.clone())?;
         lp.register(listener.as_raw_fd(), TOK_LISTEN, Interest::READ)?;
         lp.register(udp.as_raw_fd(), TOK_UDP, Interest::READ)?;
-        // Same token scheme as the threaded shape: count up from a random
+        // Same token scheme as the threaded receiver: count up from a random
         // 64-bit base so off-path probe spoofing cannot guess a live one.
         let next_token = RandomState::new().build_hasher().finish();
         Ok(EventedReceiver {
@@ -202,7 +148,6 @@ impl EventedReceiver {
             counters: RecvCounters::default(),
             sessions_gauge: Gauge::new(),
             batch_hist: Histogram::new(),
-            last_drop_warn_ns: 0,
             backoff: AcceptBackoff::new(),
             accept_paused: false,
             events: Vec::new(),
@@ -216,7 +161,8 @@ impl EventedReceiver {
 
     /// Cap concurrent sessions at `max` (`0` = unlimited, the default).
     /// Beyond the cap a new connection is answered with a versioned
-    /// [`CtrlMsg::Deny`] (code [`DENY_AT_CAPACITY`]) — same contract as
+    /// [`CtrlMsg::Deny`] (code
+    /// [`DENY_AT_CAPACITY`](crate::proto::DENY_AT_CAPACITY)) — same contract as
     /// [`Receiver::with_max_sessions`](crate::Receiver::with_max_sessions).
     pub fn with_max_sessions(mut self, max: usize) -> EventedReceiver {
         self.max_sessions = max;
@@ -232,7 +178,7 @@ impl EventedReceiver {
 
     /// Attach the receiver's metrics to `reg`: the same
     /// `receiver_demux_*`/`receiver_collect_*`/`receiver_sessions_denied_total`
-    /// families as the threaded shape, plus the `receiver_sessions` gauge
+    /// families as the threaded receiver, plus the `receiver_sessions` gauge
     /// and the `receiver_recv_batch_size` histogram.
     pub fn register_metrics(&self, reg: &telemetry::Registry) {
         self.counters.register(reg);
@@ -346,34 +292,27 @@ impl EventedReceiver {
         if ctrl.set_nonblocking(true).is_err() {
             return;
         }
-        if self.max_sessions != 0 && self.by_token.len() >= self.max_sessions {
-            self.counters.denied.inc();
+        if let Some(deny) = self
+            .counters
+            .deny_at_cap(self.by_token.len(), self.max_sessions)
+        {
             // Best-effort single write: the frame is a handful of bytes
             // and the socket buffer of a fresh connection always holds it.
             let mut frame = Vec::new();
-            let _ = CtrlMsg::Deny {
-                version: PROTO_VERSION,
-                code: DENY_AT_CAPACITY,
-            }
-            .write_to(&mut frame);
+            deny.append_to(&mut frame);
             let _ = ctrl.write(&frame);
             return;
         }
         let token = self.mint_token();
-        let mut sess = RxSession {
+        let core = RxSession::new(token, &self.counters);
+        let mut wbuf = Vec::new();
+        core.hello(self.udp_port).append_to(&mut wbuf);
+        let sess = Slot {
             ctrl,
-            token,
             rbuf: Vec::new(),
-            wbuf: Vec::new(),
-            collect: Collect::Idle,
-            drops: 0,
+            wbuf,
+            core,
         };
-        CtrlMsg::Hello {
-            version: PROTO_VERSION,
-            udp_port: self.udp_port,
-            session: token,
-        }
-        .append_to(&mut sess.wbuf);
         let slot = match self.free.pop() {
             Some(slot) => slot,
             None => {
@@ -400,8 +339,8 @@ impl EventedReceiver {
     fn close_session(&mut self, slot: usize) {
         if let Some(sess) = self.sessions.get_mut(slot).and_then(Option::take) {
             let _ = self.lp.deregister(sess.ctrl.as_raw_fd());
-            self.lp.cancel_timer_generation(sess.token);
-            self.by_token.remove(&sess.token);
+            self.lp.cancel_timer_generation(sess.core.token());
+            self.by_token.remove(&sess.core.token());
             self.free.push(slot);
             self.sessions_gauge.set(self.by_token.len() as i64);
         }
@@ -410,62 +349,42 @@ impl EventedReceiver {
     // ---- control channel per session -----------------------------------
 
     fn on_session_io(&mut self, slot: usize, readable: bool, writable: bool) {
-        let Some(sess) = self.sessions.get_mut(slot).and_then(Option::as_mut) else {
-            return; // stale event for an already-closed slot
-        };
-        if writable && !sess.wbuf.is_empty() {
-            match flush_wbuf(&mut sess.ctrl, &mut sess.wbuf) {
-                Ok(()) => {}
-                Err(e) => {
-                    self.log_session_error(slot, &e);
-                    self.close_session(slot);
-                    return;
-                }
-            }
+        match self.session_io(slot, readable, writable) {
+            Ok(true) => self.update_interest(slot),
+            // Peer closed cleanly (EOF): no error to report.
+            Ok(false) => self.close_session(slot),
+            Err(e) => self.fail_session(slot, &e),
         }
-        if readable {
-            match fill_rbuf(&mut sess.ctrl, &mut sess.rbuf) {
-                Ok(true) => {}
-                Ok(false) => {
-                    // Peer closed cleanly (EOF): same as the threaded
-                    // session loop returning Ok on UnexpectedEof.
-                    self.close_session(slot);
-                    return;
-                }
-                Err(e) => {
-                    self.log_session_error(slot, &e);
-                    self.close_session(slot);
-                    return;
-                }
-            }
-            loop {
-                let Some(sess) = self.sessions.get_mut(slot).and_then(Option::as_mut) else {
-                    return; // a frame closed the session
-                };
-                match take_frame(&mut sess.rbuf) {
-                    Ok(Some(msg)) => {
-                        if let Err(e) = self.on_ctrl_msg(slot, msg) {
-                            self.log_session_error(slot, &e);
-                            self.close_session(slot);
-                            return;
-                        }
-                    }
-                    Ok(None) => break,
-                    Err(e) => {
-                        self.log_session_error(slot, &e);
-                        self.close_session(slot);
-                        return;
-                    }
-                }
-            }
-        }
-        self.update_interest(slot);
     }
 
-    fn log_session_error(&self, slot: usize, e: &io::Error) {
-        if let Some(sess) = self.sessions.get(slot).and_then(Option::as_ref) {
-            eprintln!("session error: {e} (session {:#018x})", sess.token);
+    /// Flush the slot's queued frames, then read and dispatch every
+    /// complete control frame. `Ok(false)` on a clean EOF.
+    fn session_io(&mut self, slot: usize, readable: bool, writable: bool) -> io::Result<bool> {
+        let Some(sess) = self.sessions.get_mut(slot).and_then(Option::as_mut) else {
+            return Ok(true); // stale event for an already-closed slot
+        };
+        if writable {
+            flush_nonblocking(&mut sess.ctrl, &mut sess.wbuf)?;
         }
+        if readable && !fill_nonblocking(&mut sess.ctrl, &mut sess.rbuf)? {
+            return Ok(false);
+        }
+        // A frame may close the session (`Bye`), which ends the loop.
+        while let Some(sess) = self.sessions.get_mut(slot).and_then(Option::as_mut) {
+            let Some(msg) = CtrlMsg::take_from(&mut sess.rbuf)? else {
+                break;
+            };
+            self.on_ctrl_msg(slot, msg)?;
+        }
+        Ok(true)
+    }
+
+    /// Log a session's I/O or protocol error and close it.
+    fn fail_session(&mut self, slot: usize, e: &io::Error) {
+        if let Some(sess) = self.sessions.get(slot).and_then(Option::as_ref) {
+            eprintln!("session error: {e} (session {:#018x})", sess.core.token());
+        }
+        self.close_session(slot);
     }
 
     /// Re-point epoll at what the slot's write buffer implies.
@@ -482,87 +401,32 @@ impl EventedReceiver {
         }
     }
 
-    /// One control frame, mirroring the threaded `session_loop` arms.
+    /// One control frame: the core decides, this queues its reply.
     fn on_ctrl_msg(&mut self, slot: usize, msg: CtrlMsg) -> io::Result<()> {
         let now = self.clock.now_ns();
         let Some(sess) = self.sessions.get_mut(slot).and_then(Option::as_mut) else {
             return Ok(()); // slot already torn down; frame raced the close
         };
-        match msg {
-            CtrlMsg::StreamAnnounce {
-                id,
-                count,
-                period_ns,
-                size: _,
-            } => {
-                check_count(count)?;
-                if !matches!(sess.collect, Collect::Idle) {
-                    return Err(io::Error::new(
-                        io::ErrorKind::InvalidData,
-                        "announce while a collection is active",
-                    ));
-                }
-                CtrlMsg::Ready { id }.write_to(&mut sess.wbuf)?;
-                sess.collect = Collect::Stream(StreamCollect {
-                    id,
-                    count,
-                    period_ns,
-                    samples: Vec::with_capacity(count as usize),
-                    seen: vec![false; count as usize],
-                    // Same arm-to-end budget as the threaded collector:
-                    // 2 s to start + nominal duration + 1 s grace.
-                    deadline: now + 2_000_000_000 + count as u64 * period_ns + 1_000_000_000,
-                    first_arrival: None,
-                    last_activity: now,
-                });
-                let token = sess.token;
-                self.arm_check(slot, token, now);
+        match sess.core.on_ctrl(msg, now)? {
+            Reply::Send(reply) => reply.append_to(&mut sess.wbuf),
+            Reply::Collect { ready, check_at } => {
+                ready.append_to(&mut sess.wbuf);
+                let token = sess.core.token();
+                self.arm_check(slot, token, check_at);
             }
-            CtrlMsg::TrainAnnounce { id, count, size: _ } => {
-                check_count(count)?;
-                if !matches!(sess.collect, Collect::Idle) {
-                    return Err(io::Error::new(
-                        io::ErrorKind::InvalidData,
-                        "announce while a collection is active",
-                    ));
-                }
-                CtrlMsg::Ready { id }.write_to(&mut sess.wbuf)?;
-                sess.collect = Collect::Train(TrainCollect {
-                    id,
-                    count,
-                    received: 0,
-                    first_ns: 0,
-                    last_ns: 0,
-                    seen: vec![false; count as usize],
-                    deadline: now + 5_000_000_000,
-                    last_activity: now,
-                });
-                let token = sess.token;
-                self.arm_check(slot, token, now);
-            }
-            CtrlMsg::Echo { token } => {
-                CtrlMsg::Echo { token }.write_to(&mut sess.wbuf)?;
-            }
-            CtrlMsg::Bye => {
+            Reply::Close => {
                 // Best-effort flush of anything still queued, then close.
-                let _ = flush_wbuf(&mut sess.ctrl, &mut sess.wbuf);
+                let _ = flush_nonblocking(&mut sess.ctrl, &mut sess.wbuf);
                 self.close_session(slot);
-            }
-            other => {
-                return Err(io::Error::new(
-                    io::ErrorKind::InvalidData,
-                    format!("unexpected control message {other:?}"),
-                ));
             }
         }
         Ok(())
     }
 
-    /// Arm the next collection-check timer under the session token (its
-    /// cancellation generation).
-    fn arm_check(&mut self, slot: usize, token: u64, now: u64) {
-        self.lp
-            .arm_timer_with_generation(now + POLL_TIMEOUT.as_nanos() as u64, slot as u64, token);
+    /// Arm the slot's next collection check under its session token (the
+    /// timer's cancellation generation).
+    fn arm_check(&mut self, slot: usize, token: u64, at: u64) {
+        self.lp.arm_timer_with_generation(at, slot as u64, token);
     }
 
     // ---- probe datagrams -----------------------------------------------
@@ -571,9 +435,8 @@ impl EventedReceiver {
         for _ in 0..MAX_BATCHES_PER_WAKEUP {
             match self.batch.recv(&self.udp) {
                 Ok(n) => {
-                    // Stamped once, at the socket read, before any
-                    // routing — the timestamp contract of the threaded
-                    // demux thread.
+                    // Stamped once, right after the socket read, before
+                    // any routing.
                     let recv_ns = self.clock.now_ns();
                     self.batch_hist.observe(n as u64);
                     for i in 0..n {
@@ -588,257 +451,55 @@ impl EventedReceiver {
         }
     }
 
-    /// Route one decoded probe packet into its session's collection —
-    /// the same decisions as the threaded demux + collectors, inline.
+    /// Route one decoded probe packet to its session's core by token.
     fn route(&mut self, packet: ProbePacket, recv_ns: u64) {
         let Some(&slot) = self.by_token.get(&packet.session) else {
-            self.counters.drop_unknown_token.inc();
+            self.counters.count_route(Route::UnknownToken);
             return;
         };
-        self.counters.routed.inc();
-        let Some(sess) = self.sessions.get_mut(slot).and_then(Option::as_mut) else {
-            return; // token map raced a slot teardown; nothing to feed
-        };
-        let finished = match &mut sess.collect {
-            // Between collections: the threaded shape queues the arrival
-            // and drains it before the next Ready; discarding here is the
-            // same observable outcome.
-            Collect::Idle => false,
-            Collect::Stream(st) => {
-                if packet.kind != ProbeKind::Stream || packet.id != st.id {
-                    return; // leftover of an earlier train/stream
-                }
-                st.last_activity = recv_ns;
-                st.first_arrival.get_or_insert(recv_ns);
-                let idx = packet.idx as usize;
-                // Out of range or already seen: duplicate/malformed.
-                if !matches!(st.seen.get(idx), Some(false)) {
-                    sess.drops += 1;
-                    self.counters.drop_dedup.inc();
-                    let (token, drops) = (sess.token, sess.drops);
-                    self.maybe_warn_drops(token, drops);
-                    return;
-                }
-                if let Some(seen) = st.seen.get_mut(idx) {
-                    *seen = true;
-                }
-                st.samples.push(SampleWire {
-                    idx: packet.idx,
-                    send_ns: packet.send_ns,
-                    recv_ns,
-                });
-                st.samples.len() as u32 >= st.count
-            }
-            Collect::Train(tr) => {
-                if packet.kind != ProbeKind::Train || packet.id != tr.id {
-                    return;
-                }
-                tr.last_activity = recv_ns;
-                let idx = packet.idx as usize;
-                // Out of range or already seen: duplicate/malformed.
-                if !matches!(tr.seen.get(idx), Some(false)) {
-                    sess.drops += 1;
-                    self.counters.drop_dedup.inc();
-                    let (token, drops) = (sess.token, sess.drops);
-                    self.maybe_warn_drops(token, drops);
-                    return;
-                }
-                if let Some(seen) = tr.seen.get_mut(idx) {
-                    *seen = true;
-                }
-                if tr.received == 0 {
-                    tr.first_ns = recv_ns;
-                }
-                tr.last_ns = tr.last_ns.max(recv_ns);
-                tr.received += 1;
-                tr.received >= tr.count
-            }
-        };
-        if finished {
-            self.finish_collection(slot);
+        self.counters.count_route(Route::Routed);
+        let report = self
+            .sessions
+            .get_mut(slot)
+            .and_then(Option::as_mut)
+            .and_then(|sess| sess.core.on_probe(&packet, recv_ns));
+        if let Some(report) = report {
+            self.send_report(slot, report);
         }
     }
 
-    // ---- collection completion -----------------------------------------
+    // ---- collection checks and reports ---------------------------------
 
-    /// A collection-check timer fired: evaluate the deadline and silence
-    /// stop conditions — the same predicates the threaded collectors
-    /// check on their channel timeouts — and re-arm if still collecting.
+    /// A collection-check timer fired: the core reports or names the next
+    /// check.
     fn on_collect_timer(&mut self, slot: usize) {
+        let now = self.clock.now_ns();
         let Some(sess) = self.sessions.get_mut(slot).and_then(Option::as_mut) else {
             return; // stale timer (slot closed; eager cancel usually beats this)
         };
-        let now = self.clock.now_ns();
-        let (token, verdict) = (
-            sess.token,
-            match &sess.collect {
-                Collect::Idle => CheckVerdict::Stale,
-                Collect::Stream(st) => {
-                    if now >= st.deadline {
-                        CheckVerdict::Stop { silence: false }
-                    } else if let Some(first) = st.first_arrival {
-                        let nominal_end = first + st.count as u64 * st.period_ns;
-                        if now >= nominal_end
-                            && now.saturating_sub(st.last_activity) >= STREAM_SILENCE_NS
-                        {
-                            CheckVerdict::Stop { silence: true }
-                        } else {
-                            CheckVerdict::KeepGoing
-                        }
-                    } else {
-                        CheckVerdict::KeepGoing
-                    }
-                }
-                Collect::Train(tr) => {
-                    if now >= tr.deadline {
-                        CheckVerdict::Stop { silence: false }
-                    } else if tr.received > 0
-                        && now.saturating_sub(tr.last_activity) >= TRAIN_SILENCE_NS
-                    {
-                        CheckVerdict::Stop { silence: true }
-                    } else {
-                        CheckVerdict::KeepGoing
-                    }
-                }
-            },
-        );
-        match verdict {
-            CheckVerdict::Stale => {}
-            CheckVerdict::KeepGoing => self.arm_check(slot, token, now),
-            CheckVerdict::Stop { silence } => {
-                if silence {
-                    self.counters.silence_stops.inc();
-                }
-                self.finish_collection(slot);
+        match sess.core.on_check(now) {
+            Check::Report(report) => self.send_report(slot, report),
+            Check::Next(at) => {
+                let token = sess.core.token();
+                self.arm_check(slot, token, at);
             }
+            Check::Idle => {}
         }
     }
 
-    /// End the slot's active collection: queue the report frame, return
-    /// to `Idle`, cancel the pending check timer.
-    fn finish_collection(&mut self, slot: usize) {
+    /// Queue the slot's report frame, cancel its pending check timer, and
+    /// push what the socket takes now; the rest rides on writability.
+    fn send_report(&mut self, slot: usize, report: CtrlMsg) {
         let Some(sess) = self.sessions.get_mut(slot).and_then(Option::as_mut) else {
             return;
         };
-        let report = match std::mem::replace(&mut sess.collect, Collect::Idle) {
-            Collect::Idle => return,
-            Collect::Stream(st) => CtrlMsg::StreamReport {
-                id: st.id,
-                samples: st.samples,
-            },
-            Collect::Train(tr) => CtrlMsg::TrainReport {
-                id: tr.id,
-                received: tr.received,
-                first_ns: tr.first_ns,
-                last_ns: tr.last_ns,
-            },
-        };
         report.append_to(&mut sess.wbuf);
-        let token = sess.token;
-        self.lp.cancel_timer_generation(token);
-        // Push what the socket takes now; the rest rides on writability.
-        if let Some(sess) = self.sessions.get_mut(slot).and_then(Option::as_mut) {
-            if let Err(e) = flush_wbuf(&mut sess.ctrl, &mut sess.wbuf) {
-                self.log_session_error(slot, &e);
-                self.close_session(slot);
-                return;
-            }
-        }
-        self.update_interest(slot);
-    }
-
-    /// Rate-limited stderr warning for suspicious drop totals (same
-    /// threshold and interval as the threaded shape; plain fields — the
-    /// whole receiver is one thread).
-    fn maybe_warn_drops(&mut self, token: u64, session_drops: u64) {
-        if session_drops < DROP_WARN_THRESHOLD {
-            return;
-        }
-        let now = self.clock.now_ns();
-        if now.saturating_sub(self.last_drop_warn_ns) < DROP_WARN_INTERVAL_NS {
-            return;
-        }
-        self.last_drop_warn_ns = now;
-        eprintln!(
-            "receiver: session {token:#018x} dropped {session_drops} \
-             duplicate/malformed probe datagrams ({} across all sessions)",
-            self.counters.drop_dedup.get()
-        );
-    }
-}
-
-/// What a collection-check timer decided.
-enum CheckVerdict {
-    /// No collection active (stale timer).
-    Stale,
-    /// Still collecting: re-arm.
-    KeepGoing,
-    /// Finish the collection; `silence` says the silence window (not the
-    /// hard deadline or completeness) ended it.
-    Stop { silence: bool },
-}
-
-/// Flush as much of `wbuf` as the socket accepts. `Ok` with a non-empty
-/// remainder means back-pressure (wait for writability).
-fn flush_wbuf(ctrl: &mut TcpStream, wbuf: &mut Vec<u8>) -> io::Result<()> {
-    while !wbuf.is_empty() {
-        match ctrl.write(wbuf) {
-            Ok(0) => {
-                return Err(io::Error::new(
-                    io::ErrorKind::BrokenPipe,
-                    "write returned 0",
-                ))
-            }
-            Ok(n) => {
-                wbuf.drain(..n);
-            }
-            Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
-            Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
-            Err(e) => return Err(e),
+        self.lp.cancel_timer_generation(sess.core.token());
+        match flush_nonblocking(&mut sess.ctrl, &mut sess.wbuf) {
+            Ok(()) => self.update_interest(slot),
+            Err(e) => self.fail_session(slot, &e),
         }
     }
-    Ok(())
-}
-
-/// Read whatever is available into `rbuf`. `Ok(false)` on a clean EOF.
-fn fill_rbuf(ctrl: &mut TcpStream, rbuf: &mut Vec<u8>) -> io::Result<bool> {
-    let mut chunk = [0u8; 16 * 1024];
-    loop {
-        match ctrl.read(&mut chunk) {
-            Ok(0) => return Ok(false),
-            Ok(n) => {
-                // `read` contracts n <= chunk.len(); `get` keeps the
-                // defensive bound out of the panic path.
-                if let Some(read) = chunk.get(..n) {
-                    rbuf.extend_from_slice(read);
-                }
-            }
-            Err(e) if e.kind() == io::ErrorKind::WouldBlock => return Ok(true),
-            Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
-            Err(e) => return Err(e),
-        }
-    }
-}
-
-/// Pop one complete control frame off `rbuf`, if present (the same
-/// length-prefix framing as the evented sender).
-fn take_frame(rbuf: &mut Vec<u8>) -> io::Result<Option<CtrlMsg>> {
-    let Some(&header) = rbuf.first_chunk::<4>() else {
-        return Ok(None); // length prefix not complete yet
-    };
-    let len = u32::from_le_bytes(header) as usize;
-    if len == 0 || len > 16 * 1024 * 1024 {
-        return Err(io::Error::new(
-            io::ErrorKind::InvalidData,
-            "bad control frame length",
-        ));
-    }
-    let Some(mut frame) = rbuf.get(..4 + len) else {
-        return Ok(None); // body not complete yet
-    };
-    let msg = CtrlMsg::read_from(&mut frame)?;
-    rbuf.drain(..4 + len);
-    Ok(Some(msg))
 }
 
 /// A spawned [`EventedReceiver`]: stoppable, joinable.
@@ -869,6 +530,7 @@ impl EventedReceiverHandle {
 mod tests {
     #![allow(clippy::unwrap_used, clippy::expect_used)]
     use super::*;
+    use crate::proto::PROTO_VERSION;
     use crate::receiver::connect_ctrl;
     use crate::sender::SocketTransport;
 
@@ -941,24 +603,27 @@ mod tests {
         let rx = bind();
         let addr = rx.ctrl_addr();
         let h = rx.spawn();
-        let (mut bad, _port, _token) = connect_ctrl(addr).unwrap();
         let (mut good, _port2, _token2) = connect_ctrl(addr).unwrap();
-        CtrlMsg::StreamAnnounce {
-            id: 1,
-            count: u32::MAX,
-            period_ns: 1_000_000,
-            size: 64,
-        }
-        .write_to(&mut bad)
-        .unwrap();
-        // The offender's connection closes (read returns EOF)...
-        let err = CtrlMsg::read_from(&mut bad);
-        assert!(err.is_err(), "oversized announce must close the session");
-        // ...while the other session keeps working.
-        CtrlMsg::Echo { token: 7 }.write_to(&mut good).unwrap();
-        match CtrlMsg::read_from(&mut good).unwrap() {
-            CtrlMsg::Echo { token } => assert_eq!(token, 7),
-            other => panic!("expected echo, got {other:?}"),
+        // An absurd count, and a duration that overflows the clock.
+        for (count, period_ns) in [(u32::MAX, 1_000_000), (2, u64::MAX)] {
+            let (mut bad, _port, _token) = connect_ctrl(addr).unwrap();
+            CtrlMsg::StreamAnnounce {
+                id: 1,
+                count,
+                period_ns,
+                size: 64,
+            }
+            .write_to(&mut bad)
+            .unwrap();
+            // The offender's connection closes (read returns EOF)...
+            let err = CtrlMsg::read_from(&mut bad);
+            assert!(err.is_err(), "oversized announce must close the session");
+            // ...while the other session keeps working.
+            CtrlMsg::Echo { token: 7 }.write_to(&mut good).unwrap();
+            match CtrlMsg::read_from(&mut good).unwrap() {
+                CtrlMsg::Echo { token } => assert_eq!(token, 7),
+                other => panic!("expected echo, got {other:?}"),
+            }
         }
         h.stop().unwrap();
     }

@@ -11,7 +11,7 @@
 //! buffering at the receiver, and timestamp echo for unambiguous RTT
 //! samples.
 //!
-//! Simplifications (see DESIGN.md): no handshake or FIN teardown
+//! Simplifications: no handshake or FIN teardown
 //! (connections start established — the experiments study steady state),
 //! no delayed ACKs, unbounded receiver window (the BTC definition: only
 //! the network limits the transfer), no SACK (Reno, as in the paper's
